@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"probequorum/internal/coloring"
-	"probequorum/internal/core"
 	"probequorum/internal/probe"
 	"probequorum/internal/systems"
 )
@@ -19,7 +18,7 @@ func newTriangCluster(t *testing.T, k int) (*Cluster, *systems.CW, func(o probe.
 		t.Fatal(err)
 	}
 	c := New(sys.Size())
-	search := func(o probe.Oracle) probe.Witness { return core.ProbeCW(sys, o) }
+	search := sys.ProbeWitness
 	return c, sys, search
 }
 

@@ -25,7 +25,7 @@ func TestExpectedProbeMajIIDMatchesEnumeration(t *testing.T) {
 		m, _ := systems.NewMaj(n)
 		for _, p := range []float64{0, 0.2, 0.5, 0.8, 1} {
 			got := ExpectedProbeMajIID(n, p)
-			want := enumerate(n, p, func(o probe.Oracle) probe.Witness { return ProbeMaj(m, o) })
+			want := enumerate(n, p, m.ProbeWitness)
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("n=%d p=%v: recursion %.9f != enumeration %.9f", n, p, got, want)
 			}
@@ -38,7 +38,7 @@ func TestExpectedProbeCWIIDMatchesEnumeration(t *testing.T) {
 		cw, _ := systems.NewCW(widths)
 		for _, p := range []float64{0, 0.3, 0.5, 0.7, 1} {
 			got := ExpectedProbeCWIID(widths, p)
-			want := enumerate(cw.Size(), p, func(o probe.Oracle) probe.Witness { return ProbeCW(cw, o) })
+			want := enumerate(cw.Size(), p, cw.ProbeWitness)
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("%v p=%v: recursion %.9f != enumeration %.9f", widths, p, got, want)
 			}
@@ -51,7 +51,7 @@ func TestExpectedProbeTreeIIDMatchesEnumeration(t *testing.T) {
 		tr, _ := systems.NewTree(h)
 		for _, p := range []float64{0, 0.25, 0.5, 0.9} {
 			got := ExpectedProbeTreeIID(h, p)
-			want := enumerate(tr.Size(), p, func(o probe.Oracle) probe.Witness { return ProbeTree(tr, o) })
+			want := enumerate(tr.Size(), p, tr.ProbeWitness)
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("h=%d p=%v: recursion %.9f != enumeration %.9f", h, p, got, want)
 			}
@@ -64,7 +64,7 @@ func TestExpectedProbeHQSIIDMatchesEnumeration(t *testing.T) {
 		q, _ := systems.NewHQS(h)
 		for _, p := range []float64{0, 0.25, 0.5, 0.9} {
 			got := ExpectedProbeHQSIID(h, p)
-			want := enumerate(q.Size(), p, func(o probe.Oracle) probe.Witness { return ProbeHQS(q, o) })
+			want := enumerate(q.Size(), p, q.ProbeWitness)
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("h=%d p=%v: recursion %.9f != enumeration %.9f", h, p, got, want)
 			}

@@ -2,10 +2,6 @@ package core
 
 import "probequorum/internal/systems"
 
-// ProbeRecMaj and RProbeRecMaj live on the construction as capability
-// implementations (internal/systems/probing.go, randomized.go); their
-// wrappers are in probabilistic.go and randomized.go.
-
 // ExpectedGateEvaluations returns the expected number of children a
 // short-circuit majority gate evaluates until one side reaches the
 // threshold t, when each child is independently green with probability a.

@@ -6,7 +6,6 @@ import (
 
 	"probequorum/internal/availability"
 	"probequorum/internal/coloring"
-	"probequorum/internal/probe"
 	"probequorum/internal/systems"
 )
 
@@ -16,7 +15,7 @@ func TestProbeRecMajSound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		verifyAlg(t, r, func(o probe.Oracle) probe.Witness { return ProbeRecMaj(r, o) })
+		verifyAlg(t, r, r.ProbeWitness)
 	}
 }
 
@@ -26,8 +25,8 @@ func TestProbeRecMajMatchesProbeHQS(t *testing.T) {
 	r, _ := systems.NewRecMaj(3, 2)
 	q, _ := systems.NewHQS(2)
 	coloring.All(9, func(col *coloring.Coloring) bool {
-		a := DeterministicProbes(col, func(o probe.Oracle) probe.Witness { return ProbeRecMaj(r, o) })
-		b := DeterministicProbes(col, func(o probe.Oracle) probe.Witness { return ProbeHQS(q, o) })
+		a := DeterministicProbes(col, r.ProbeWitness)
+		b := DeterministicProbes(col, q.ProbeWitness)
 		if a != b {
 			t.Fatalf("coloring %s: recmaj %d probes, hqs %d", col, a, b)
 		}
@@ -62,9 +61,7 @@ func TestExpectedProbeRecMajMatchesEnumeration(t *testing.T) {
 		}
 		for _, p := range []float64{0, 0.25, 0.5, 0.8} {
 			got := ExpectedProbeRecMajIID(c.m, c.h, p)
-			want := enumerate(r.Size(), p, func(o probe.Oracle) probe.Witness {
-				return ProbeRecMaj(r, o)
-			})
+			want := enumerate(r.Size(), p, r.ProbeWitness)
 			if math.Abs(got-want) > 1e-9 {
 				t.Errorf("m=%d h=%d p=%v: recursion %.9f != enumeration %.9f", c.m, c.h, p, got, want)
 			}

@@ -27,10 +27,10 @@ func HeuristicComparison() Report {
 		sys   quorum.System
 		paper func(o probe.Oracle) probe.Witness
 	}{
-		{maj, func(o probe.Oracle) probe.Witness { return core.ProbeMaj(maj, o) }},
-		{tri, func(o probe.Oracle) probe.Witness { return core.ProbeCW(tri, o) }},
-		{tree, func(o probe.Oracle) probe.Witness { return core.ProbeTree(tree, o) }},
-		{hqs, func(o probe.Oracle) probe.Witness { return core.ProbeHQS(hqs, o) }},
+		{maj, maj.ProbeWitness},
+		{tri, tri.ProbeWitness},
+		{tree, tree.ProbeWitness},
+		{hqs, hqs.ProbeWitness},
 	}
 	for _, tc := range cases {
 		for _, p := range []float64{0.1, 0.5} {

@@ -7,7 +7,6 @@ import (
 	"probequorum/internal/analytic"
 	"probequorum/internal/coloring"
 	"probequorum/internal/core"
-	"probequorum/internal/probe"
 	"probequorum/internal/sim"
 	"probequorum/internal/strategy"
 	"probequorum/internal/systems"
@@ -51,9 +50,7 @@ func table1TriangPPC(r *Report) {
 	tri, _ := systems.NewTriang(k)
 	mc := sim.Estimate(6000, 101, func(rng *rand.Rand) float64 {
 		col := coloring.IID(tri.Size(), 0.5, rng)
-		return float64(core.DeterministicProbes(col, func(o probe.Oracle) probe.Witness {
-			return core.ProbeCW(tri, o)
-		}))
+		return float64(core.DeterministicProbes(col, tri.ProbeWitness))
 	})
 	lower := analytic.TriangPPCLowerHalf(k)
 	upper := analytic.CWPPCUpper(k)

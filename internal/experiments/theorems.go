@@ -36,9 +36,7 @@ func PropositionMaj() Report {
 	for _, p := range []float64{0.5, 0.4, 0.3, 0.2, 0.1} {
 		form := analytic.MajPPC(n, p)
 		exact := core.ExpectedProbeMajIID(n, p)
-		mc := mcDeterministic(n, p, 4000, 32, func(o probe.Oracle) probe.Witness {
-			return core.ProbeMaj(m, o)
-		})
+		mc := mcDeterministic(n, p, 4000, 32, m.ProbeWitness)
 		r.addf("n=%d p=%.1f  exact=%8.3f  paper=%8.3f  %s  (mc=%8.3f)",
 			n, p, exact, form, verdict(exact, form, 0.03), mc.Mean)
 	}
@@ -76,9 +74,7 @@ func TheoremProbeCW() Report {
 		}
 	}
 	cw := mustSystem[*systems.CW]("cw:1,10,10")
-	mc := mcDeterministic(cw.Size(), 0.5, 4000, 33, func(o probe.Oracle) probe.Witness {
-		return core.ProbeCW(cw, o)
-	})
+	mc := mcDeterministic(cw.Size(), 0.5, 4000, 33, cw.ProbeWitness)
 	r.addf("cross-check CW(1,10,10) p=0.5: exact=%.4f  monte-carlo=%.4f  %s",
 		core.ExpectedProbeCWIID([]int{1, 10, 10}, 0.5), mc.Mean,
 		verdict(mc.Mean, core.ExpectedProbeCWIID([]int{1, 10, 10}, 0.5), 0.03))
@@ -126,9 +122,7 @@ func PropositionTree() Report {
 	}
 	// Small-instance MC cross-check of the exact recursion.
 	tr := mustSystem[*systems.Tree]("tree:6")
-	mc := mcDeterministic(tr.Size(), 0.5, 3000, 36, func(o probe.Oracle) probe.Witness {
-		return core.ProbeTree(tr, o)
-	})
+	mc := mcDeterministic(tr.Size(), 0.5, 3000, 36, tr.ProbeWitness)
 	exact := core.ExpectedProbeTreeIID(6, 0.5)
 	r.addf("cross-check h=6 p=0.5: exact=%.4f  monte-carlo=%.4f  %s",
 		exact, mc.Mean, verdict(mc.Mean, exact, 0.03))
@@ -165,9 +159,7 @@ func TheoremHQSProbabilistic() Report {
 	}
 	// Monte Carlo cross-check at h=4.
 	hq := mustSystem[*systems.HQS]("hqs:4")
-	mc := mcDeterministic(hq.Size(), 0.5, 4000, 38, func(o probe.Oracle) probe.Witness {
-		return core.ProbeHQS(hq, o)
-	})
+	mc := mcDeterministic(hq.Size(), 0.5, 4000, 38, hq.ProbeWitness)
 	r.addf("cross-check h=4 p=0.5: exact=%.4f  monte-carlo=%.4f  %s",
 		core.ExpectedProbeHQSIID(4, 0.5), mc.Mean, verdict(mc.Mean, core.ExpectedProbeHQSIID(4, 0.5), 0.03))
 	return r
@@ -194,9 +186,7 @@ func TheoremHQSOptimality() Report {
 		}
 		opt := opts[0]
 		probeHQS := sim.ExpectedIID(hq.Size(), 0.5, func(col *coloring.Coloring) float64 {
-			return float64(core.DeterministicProbes(col, func(o probe.Oracle) probe.Witness {
-				return core.ProbeHQS(hq, o)
-			}))
+			return float64(core.DeterministicProbes(col, hq.ProbeWitness))
 		})
 		paper := math.Pow(2.5, float64(h))
 		r.addf("h=%d  Probe_HQS=%8.6f  (5/2)^h=%8.6f %s  unrestricted optimum=%8.6f",

@@ -29,14 +29,15 @@ type RandomizedProber interface {
 	ProbeWitnessRandomized(o Oracle, rng *rand.Rand) Witness
 }
 
-// WordsProber is the wide-universe form of Prober: the same strategy
-// probing a WordsOracle and assembling the witness in the oracle's
-// reusable word buffers, so trial loops stay allocation-free at any
-// universe size. Implementations must probe exactly the elements
-// ProbeWitness probes, in the same order, and return the same witness
-// set — the Monte Carlo differential tests pin the two paths to each
-// other. The returned witness aliases oracle arena memory (valid until
-// the next Reset).
+// WordsProber is the wide-universe form of Prober, and the one place a
+// built-in strategy is written: the strategy probes a WordsOracle and
+// assembles the witness in the oracle's reusable word buffers, so trial
+// loops stay allocation-free at any universe size. The built-in
+// constructions implement ProbeWitness as an adapter that runs this same
+// method against a WordsOracle delegating to the given Oracle
+// (NewWordsOracleVia), so both entry points probe the same elements in
+// the same order and return the same witness. The returned witness
+// aliases oracle arena memory (valid until the next Reset).
 //
 // All built-in constructions implement it; the façade's estimate path
 // dispatches on it and falls back to the bitset Prober path otherwise.
@@ -48,9 +49,10 @@ type WordsProber interface {
 }
 
 // RandomizedWordsProber is the wide-universe form of RandomizedProber,
-// under the same contract as WordsProber: identical probe sequence and
-// witness as ProbeWitnessRandomized for the same oracle coloring and rng
-// stream.
+// on the same terms as WordsProber: the built-in constructions write each
+// randomized strategy once here, and ProbeWitnessRandomized runs it
+// through a delegating WordsOracle, with the same probe sequence, rng
+// consumption and witness.
 type RandomizedWordsProber interface {
 	RandomizedProber
 

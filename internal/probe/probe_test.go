@@ -168,3 +168,45 @@ func TestWitnessString(t *testing.T) {
 		t.Errorf("String = %q, want %q", got, want)
 	}
 }
+
+// TestWordsOracleViaDelegates pins the delegating words oracle: colors
+// and probe accounting come from the source, the arena is the oracle's
+// own, and a panic raised by the source reaches the caller unchanged.
+func TestWordsOracleViaDelegates(t *testing.T) {
+	col := coloring.FromReds(70, []int{3, 65})
+	src := NewOracle(col)
+	o := NewWordsOracleVia(70, src)
+	if o.Words() != 2 || len(o.AcquireWords()) != 2 {
+		t.Fatalf("arena buffers of %d words, want 2", o.Words())
+	}
+	for _, e := range []int{65, 0, 3, 65} {
+		if got, want := o.Probe(e), col.Of(e); got != want {
+			t.Errorf("Probe(%d) = %s, want %s", e, got, want)
+		}
+	}
+	if o.Probes() != 3 || src.Probes() != 3 {
+		t.Errorf("Probes = %d (source %d), want 3", o.Probes(), src.Probes())
+	}
+	if !o.Probed().Equal(bitset.FromSlice(70, []int{0, 3, 65})) {
+		t.Errorf("Probed = %v", o.Probed())
+	}
+	if got := src.Order(); len(got) != 3 || got[0] != 65 || got[1] != 0 || got[2] != 3 {
+		t.Errorf("source first-probe order %v, want [65 0 3]", got)
+	}
+
+	type stop struct{}
+	defer func() {
+		if r := recover(); r != (stop{}) {
+			t.Fatalf("recovered %v, want the source's panic value", r)
+		}
+	}()
+	NewWordsOracleVia(70, panicOracle{stop{}}).Probe(1)
+	t.Fatal("source panic was swallowed")
+}
+
+// panicOracle panics with its value on every probe.
+type panicOracle struct{ v any }
+
+func (p panicOracle) Probe(int) coloring.Color { panic(p.v) }
+func (p panicOracle) Probes() int              { return 0 }
+func (p panicOracle) Probed() *bitset.Set      { return nil }

@@ -14,11 +14,13 @@ import (
 // WordsOracle per worker probes, counts and assembles witnesses with no
 // per-probe heap allocation at any universe size.
 //
-// The oracle implements Oracle, so the generic verification helpers work
-// against it; the wide strategies (WordsProber) use the word-native
-// accessors and the scratch arena instead.
+// Every built-in strategy is written once, against this oracle
+// (WordsProber). A WordsOracle built by NewWordsOracleVia delegates its
+// probes to a source Oracle instead of its own coloring; that is how the
+// same strategy code serves ColoringOracle, BatchOracle, the temporal
+// scheduler's replays and third-party oracles.
 //
-// The usage pattern of a trial is:
+// The usage pattern of a native trial is:
 //
 //	coloring.IIDWordsInto(o.RedWords(), n, p, rng) // redraw the coloring
 //	o.Reset()                                      // clear probes + arena
@@ -31,6 +33,10 @@ type WordsOracle struct {
 	reds   []uint64
 	probed []uint64
 	count  int
+
+	// src, when set, answers every probe and keeps the probe accounting;
+	// reds, probed and count then stay unused.
+	src Oracle
 
 	// arena is the stack of reusable witness/scratch buffers handed out by
 	// AcquireWords: it grows to the high-water mark of the strategy's
@@ -47,11 +53,22 @@ func NewWordsOracle(n int) *WordsOracle {
 	return &WordsOracle{n: n, reds: make([]uint64, words), probed: make([]uint64, words)}
 }
 
+// NewWordsOracleVia returns an oracle over n elements that delegates every
+// probe to src: colors come from src, src counts the probes, and panics
+// raised by src pass straight through. Only the witness arena is the
+// oracle's own, so a WordsProber run against it probes src in exactly the
+// order it would probe a native oracle. The coloring and probe-log
+// accessors (RedWords, SetColoring, ProbedWords) apply to native oracles
+// only.
+func NewWordsOracleVia(n int, src Oracle) *WordsOracle {
+	return &WordsOracle{n: n, src: src}
+}
+
 // Size returns the universe size n.
 func (o *WordsOracle) Size() int { return o.n }
 
 // Words returns the wide-mask word count of the universe.
-func (o *WordsOracle) Words() int { return len(o.reds) }
+func (o *WordsOracle) Words() int { return quorum.WordCount(o.n) }
 
 // RedWords returns the oracle's coloring buffer: bit e set means element
 // e is red. Callers redraw it in place (coloring.IIDWordsInto) and then
@@ -79,10 +96,14 @@ func (o *WordsOracle) Reset() {
 	o.sp = 0
 }
 
-// Probe implements Oracle: two word operations and a counter.
+// Probe implements Oracle: two word operations and a counter, or the
+// source's answer when the oracle delegates.
 //
 //quorum:hotpath
 func (o *WordsOracle) Probe(e int) coloring.Color {
+	if o.src != nil {
+		return o.src.Probe(e)
+	}
 	w, b := e>>6, bitset.Bit(e)
 	if o.probed[w]&b == 0 {
 		o.probed[w] |= b
@@ -95,11 +116,21 @@ func (o *WordsOracle) Probe(e int) coloring.Color {
 }
 
 // Probes implements Oracle.
-func (o *WordsOracle) Probes() int { return o.count }
+func (o *WordsOracle) Probes() int {
+	if o.src != nil {
+		return o.src.Probes()
+	}
+	return o.count
+}
 
 // Probed implements Oracle. It allocates a fresh set; hot loops use
 // ProbedWords instead.
-func (o *WordsOracle) Probed() *bitset.Set { return quorum.SetOfWords(o.n, o.probed) }
+func (o *WordsOracle) Probed() *bitset.Set {
+	if o.src != nil {
+		return o.src.Probed()
+	}
+	return quorum.SetOfWords(o.n, o.probed)
+}
 
 // ProbedWords returns the probe log as a wide mask, valid until the next
 // Reset. Callers must not mutate it.
@@ -113,7 +144,7 @@ func (o *WordsOracle) ProbedWords() []uint64 { return o.probed }
 // caller until the next Reset.
 func (o *WordsOracle) AcquireWords() []uint64 {
 	if o.sp == len(o.arena) {
-		o.arena = append(o.arena, make([]uint64, len(o.reds)))
+		o.arena = append(o.arena, make([]uint64, quorum.WordCount(o.n)))
 	}
 	buf := o.arena[o.sp]
 	o.sp++

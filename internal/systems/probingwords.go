@@ -6,15 +6,14 @@ import (
 	"probequorum/internal/quorum"
 )
 
-// This file implements the probe.WordsProber capability — the wide-
-// universe form of every deterministic strategy in probing.go — on all
-// seven constructions. Each method probes exactly the elements its bitset
-// counterpart probes, in the same order, and assembles the same witness
-// set, but the witness and every intermediate live in the oracle's
-// reusable word-buffer arena: a Monte Carlo trial performs no heap
-// allocation at any universe size. The differential tests in
-// probingwords_test.go pin the two paths to each other element-for-
-// element.
+// This file implements the probe.WordsProber capability on all seven
+// constructions: each of the paper's deterministic strategies, written
+// once. The witness and every intermediate live in the oracle's reusable
+// word-buffer arena, so a Monte Carlo trial performs no heap allocation
+// at any universe size; ProbeWitness (probing.go) runs the same code
+// against any probe.Oracle through a delegating WordsOracle. The
+// differential tests in probingwords_test.go pin every strategy to the
+// bitset reference in reference_test.go element-for-element.
 
 var (
 	_ probe.WordsProber = (*Maj)(nil)
@@ -26,8 +25,10 @@ var (
 	_ probe.WordsProber = (*RecMaj)(nil)
 )
 
-// ProbeWitnessWords implements probe.WordsProber: Probe_Maj with the two
-// color classes accumulated in word buffers and counters.
+// ProbeWitnessWords implements probe.WordsProber with the paper's
+// Probe_Maj (§3.1): probe elements in index order until one color reaches
+// the quorum threshold. Under IID failures every fixed order is optimal
+// because the unprobed elements remain exchangeable.
 //
 //quorum:hotpath
 func (m *Maj) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
@@ -53,7 +54,14 @@ func (m *Maj) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
 	panic("systems: Maj.ProbeWitnessWords exhausted the universe without a witness")
 }
 
-// ProbeWitnessWords implements probe.WordsProber: the hub-first scan.
+// ProbeWitnessWords implements probe.WordsProber with the hub-first
+// strategy: probe the hub, then scan the rim for an element of the hub's
+// color. A hub colored c plus a rim element colored c is a monochromatic
+// {hub, r} quorum; if the whole rim disagrees with the hub, the rim itself
+// is a monochromatic quorum of the opposite color. Under IID(p) the scan
+// is a truncated geometric, so the expected probe count is O(1) for p
+// bounded away from 0 and 1 — the paper's intuition for the wheel's
+// cheapness.
 //
 //quorum:hotpath
 func (w *Wheel) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
@@ -72,8 +80,12 @@ func (w *Wheel) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
 	return probe.WordsWitness{Color: hubColor.Opposite(), Words: buf}
 }
 
-// ProbeWitnessWords implements probe.WordsProber: Probe_CW with the
-// running witness W kept as a word mask.
+// ProbeWitnessWords implements probe.WordsProber with Algorithm Probe_CW
+// (Fig. 5): scan rows top to bottom, maintaining a monochromatic witness
+// set W and a mode equal to its color. In each row, probe until an
+// element of the current mode is found; if the row is exhausted, the row
+// itself is monochromatic of the opposite color, so it replaces W and the
+// mode flips.
 //
 //quorum:hotpath
 func (c *CW) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
@@ -102,8 +114,11 @@ func (c *CW) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
 	return probe.WordsWitness{Color: mode, Words: w}
 }
 
-// ProbeWitnessWords implements probe.WordsProber: Probe_Tree with
-// per-level witness buffers from the oracle arena.
+// ProbeWitnessWords implements probe.WordsProber with Algorithm
+// Probe_Tree (§3.3): probe the root, recursively find a witness for the
+// right subtree and, only if its color differs from the root's, for the
+// left subtree. The three colors cannot be pairwise distinct, so a
+// monochromatic subtree/root combination always emerges.
 //
 //quorum:hotpath
 func (t *Tree) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
@@ -113,7 +128,7 @@ func (t *Tree) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
 }
 
 // probeWordsAt probes the subtree at v, overwrites dst with the witness
-// and returns its color, mirroring probeAt probe-for-probe.
+// and returns its color.
 func (t *Tree) probeWordsAt(o *probe.WordsOracle, v int, dst []uint64) coloring.Color {
 	rootColor := o.Probe(v)
 	if t.IsLeaf(v) {
@@ -140,8 +155,11 @@ func (t *Tree) probeWordsAt(o *probe.WordsOracle, v int, dst []uint64) coloring.
 	return cl
 }
 
-// ProbeWitnessWords implements probe.WordsProber: Probe_HQS evaluating
-// each 2-of-3 gate on word buffers.
+// ProbeWitnessWords implements probe.WordsProber with Algorithm
+// Probe_HQS (§3.4): evaluate each 2-of-3 gate by recursively evaluating
+// its first two children and the third only when they disagree. The
+// strategy is h-good and, by Theorem 3.9, optimal in the probabilistic
+// model at p = 1/2.
 //
 //quorum:hotpath
 func (q *HQS) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
@@ -169,7 +187,7 @@ func (q *HQS) probeWordsAt(o *probe.WordsOracle, start, size int, dst []uint64) 
 	w2 := o.AcquireWords()
 	c2 := q.probeWordsAt(o, start+2*third, third, w2)
 	// The gate witness is the deciding child plus whichever of the first
-	// two shares its color (mergeMajority).
+	// two shares its color.
 	if c2 != c0 {
 		quorum.CopyWords(dst, w1)
 	}
@@ -178,8 +196,12 @@ func (q *HQS) probeWordsAt(o *probe.WordsOracle, start, size int, dst []uint64) 
 	return c2
 }
 
-// ProbeWitnessWords implements probe.WordsProber: the descending-weight
-// scan with word-buffer color classes.
+// ProbeWitnessWords implements probe.WordsProber by probing elements in
+// order of decreasing weight until one color accumulates a strict
+// majority of the total weight. Heavy elements resolve the most weight
+// per probe, which makes the descending order the natural greedy
+// strategy in the probabilistic model (it is exactly Probe_Maj on unit
+// weights).
 //
 //quorum:hotpath
 func (v *Vote) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
@@ -205,8 +227,10 @@ func (v *Vote) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {
 	panic("systems: Vote.ProbeWitnessWords exhausted the universe without a witness")
 }
 
-// ProbeWitnessWords implements probe.WordsProber: short-circuit m-ary
-// gate evaluation with per-gate color accumulators from the arena.
+// ProbeWitnessWords implements probe.WordsProber by short-circuit gate
+// evaluation: children are evaluated left to right and a gate stops as
+// soon as one color reaches the gate threshold (m+1)/2. For m = 3 this is
+// exactly Probe_HQS.
 //
 //quorum:hotpath
 func (r *RecMaj) ProbeWitnessWords(o *probe.WordsOracle) probe.WordsWitness {

@@ -1,7 +1,9 @@
 package systems
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"probequorum/internal/coloring"
@@ -61,10 +63,13 @@ func probeFixtures(t *testing.T) []quorum.System {
 	return out
 }
 
-// TestWordsProberMatchesBitset pins the wide deterministic strategies to
-// the bitset ones: for the same coloring both paths must probe the same
-// number of distinct elements, reach the same conclusion and assemble
-// exactly the same witness set.
+// TestWordsProberMatchesBitset pins every deterministic strategy to the
+// bitset reference (reference_test.go) on two paths: the native words
+// oracle, and the ProbeWitness adapter over a ColoringOracle (a
+// delegating words oracle). For the same coloring each path must probe
+// the same distinct elements, reach the same conclusion and assemble
+// exactly the same witness set; the adapter must also probe in the
+// reference's first-probe order.
 func TestWordsProberMatchesBitset(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 5))
 	for _, sys := range probeFixtures(t) {
@@ -72,6 +77,7 @@ func TestWordsProberMatchesBitset(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s does not implement WordsProber", sys.Name())
 		}
+		ref := sys.(refProber)
 		t.Run(sys.Name(), func(t *testing.T) {
 			n := sys.Size()
 			wo := probe.NewWordsOracle(n)
@@ -79,7 +85,7 @@ func TestWordsProberMatchesBitset(t *testing.T) {
 				for i := 0; i < 10; i++ {
 					col := coloring.IID(n, p, rng)
 					bo := probe.NewOracle(col)
-					want := wp.ProbeWitness(bo)
+					want := ref.refProbeWitness(bo)
 
 					wo.SetColoring(col)
 					wo.Reset()
@@ -98,6 +104,9 @@ func TestWordsProberMatchesBitset(t *testing.T) {
 					if !quorum.SetOfWords(n, wo.ProbedWords()).Equal(bo.Probed()) {
 						t.Fatalf("p=%v draw %d: probed sets differ", p, i)
 					}
+
+					ao := probe.NewOracle(col)
+					checkAdapter(t, fmt.Sprintf("p=%v draw %d", p, i), wp.ProbeWitness(ao), ao, want, bo)
 				}
 			}
 		})
@@ -105,8 +114,10 @@ func TestWordsProberMatchesBitset(t *testing.T) {
 }
 
 // TestRandomizedWordsProberMatchesBitset is the randomized counterpart:
-// with identically seeded PRNGs, both paths must consume the stream the
-// same way and produce the same probes and witness.
+// with identically seeded PRNGs, the native words path and the
+// ProbeWitnessRandomized adapter over a ColoringOracle must consume the
+// stream as the bitset reference does and produce the same probes and
+// witness, the adapter also in the same first-probe order.
 func TestRandomizedWordsProberMatchesBitset(t *testing.T) {
 	colRNG := rand.New(rand.NewPCG(17, 19))
 	for _, sys := range probeFixtures(t) {
@@ -114,6 +125,7 @@ func TestRandomizedWordsProberMatchesBitset(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s does not implement RandomizedWordsProber", sys.Name())
 		}
+		ref := sys.(refRandomizedProber)
 		t.Run(sys.Name(), func(t *testing.T) {
 			n := sys.Size()
 			wo := probe.NewWordsOracle(n)
@@ -122,7 +134,7 @@ func TestRandomizedWordsProberMatchesBitset(t *testing.T) {
 					col := coloring.IID(n, p, colRNG)
 					seed := uint64(i)*31 + 1
 					bo := probe.NewOracle(col)
-					want := wp.ProbeWitnessRandomized(bo, rand.New(rand.NewPCG(seed, 2)))
+					want := ref.refProbeWitnessRandomized(bo, rand.New(rand.NewPCG(seed, 2)))
 
 					wo.SetColoring(col)
 					wo.Reset()
@@ -137,9 +149,32 @@ func TestRandomizedWordsProberMatchesBitset(t *testing.T) {
 					if !quorum.SetOfWords(n, got.Words).Equal(want.Set) {
 						t.Fatalf("p=%v draw %d: witnesses differ", p, i)
 					}
+
+					ao := probe.NewOracle(col)
+					checkAdapter(t, fmt.Sprintf("p=%v draw %d", p, i),
+						wp.ProbeWitnessRandomized(ao, rand.New(rand.NewPCG(seed, 2))), ao, want, bo)
 				}
 			}
 		})
+	}
+}
+
+// checkAdapter compares a witness found through the bitset-oracle adapter
+// (probing ao) with the reference witness want (probing bo): same color,
+// same witness set, same probe count and same first-probe order.
+func checkAdapter(t *testing.T, at string, got probe.Witness, ao *probe.ColoringOracle, want probe.Witness, bo *probe.ColoringOracle) {
+	t.Helper()
+	if got.Color != want.Color {
+		t.Fatalf("%s: adapter color %v, reference %v", at, got.Color, want.Color)
+	}
+	if !got.Set.Equal(want.Set) {
+		t.Fatalf("%s: adapter witness %v, reference witness %v", at, got.Set, want.Set)
+	}
+	if ao.Probes() != bo.Probes() {
+		t.Fatalf("%s: adapter probes %d, reference %d", at, ao.Probes(), bo.Probes())
+	}
+	if !slices.Equal(ao.Order(), bo.Order()) {
+		t.Fatalf("%s: adapter probe order %v, reference %v", at, ao.Order(), bo.Order())
 	}
 }
 

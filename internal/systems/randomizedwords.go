@@ -8,12 +8,12 @@ import (
 	"probequorum/internal/quorum"
 )
 
-// This file implements the probe.RandomizedWordsProber capability — the
-// wide-universe form of every randomized worst-case strategy in
-// randomized.go — on all seven constructions, under the same contract as
-// probingwords.go: identical probe sequence, identical rng consumption
-// and identical witness for the same coloring and rng stream, with all
-// witness state in the oracle's word-buffer arena.
+// This file implements the probe.RandomizedWordsProber capability on
+// all seven constructions: each of the paper's randomized worst-case
+// strategies, written once, with all witness state in the oracle's
+// word-buffer arena. ProbeWitnessRandomized (randomized.go) runs the same
+// code against any probe.Oracle through a delegating WordsOracle, so the
+// probe sequence and rng consumption are the same for every oracle.
 
 var (
 	_ probe.RandomizedWordsProber = (*Maj)(nil)
@@ -25,8 +25,10 @@ var (
 	_ probe.RandomizedWordsProber = (*RecMaj)(nil)
 )
 
-// ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber:
-// R_Probe_Maj over word buffers.
+// ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber
+// with Algorithm R_Probe_Maj (§4.1): probe elements uniformly at random
+// without replacement until one color reaches the quorum threshold. Its
+// worst-case expected probe count is n - (n-1)/(n+3) (Theorem 4.2).
 //
 //quorum:hotpath
 func (m *Maj) ProbeWitnessWordsRandomized(o *probe.WordsOracle, rng *rand.Rand) probe.WordsWitness {
@@ -53,7 +55,8 @@ func (m *Maj) ProbeWitnessWordsRandomized(o *probe.WordsOracle, rng *rand.Rand) 
 }
 
 // ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber: the
-// hub-first strategy with the rim scanned in uniformly random order.
+// hub-first strategy with the rim scanned in uniformly random order, so
+// no fixed rim ordering can be targeted by an adversary.
 //
 //quorum:hotpath
 func (w *Wheel) ProbeWitnessWordsRandomized(o *probe.WordsOracle, rng *rand.Rand) probe.WordsWitness {
@@ -72,9 +75,12 @@ func (w *Wheel) ProbeWitnessWordsRandomized(o *probe.WordsOracle, rng *rand.Rand
 	return probe.WordsWitness{Color: hubColor.Opposite(), Words: buf}
 }
 
-// ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber:
-// R_Probe_CW with the representative bookkeeping unchanged and the
-// witness assembled as a word mask.
+// ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber
+// with Algorithm R_Probe_CW (§4.2): starting from the bottom row, probe
+// each row in uniformly random order until elements of both colors are
+// seen, moving up; stop at the first monochromatic row, which together
+// with the recorded same-colored representatives below forms the
+// witness.
 //
 //quorum:hotpath
 func (c *CW) ProbeWitnessWordsRandomized(o *probe.WordsOracle, rng *rand.Rand) probe.WordsWitness {
@@ -124,8 +130,12 @@ func (c *CW) ProbeWitnessWordsRandomized(o *probe.WordsOracle, rng *rand.Rand) p
 	panic("systems: CW.ProbeWitnessWordsRandomized passed the top row without a witness")
 }
 
-// ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber:
-// R_Probe_Tree over word buffers.
+// ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber
+// with Algorithm R_Probe_Tree (§4.3): at every subtree choose uniformly
+// among three probe orders — root then left subtree (right only if
+// needed), root then right subtree (left only if needed), or both
+// subtrees first (root only if they disagree). PCR ≤ 5n/6 + 1/6
+// (Theorem 4.7).
 //
 //quorum:hotpath
 func (t *Tree) ProbeWitnessWordsRandomized(o *probe.WordsOracle, rng *rand.Rand) probe.WordsWitness {
@@ -185,9 +195,18 @@ func (t *Tree) rProbeWordsRootFirst(o *probe.WordsOracle, rng *rand.Rand, v, fir
 	return c1
 }
 
-// ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber:
-// IR_Probe_HQS (Fig. 8) over word buffers, consuming the rng stream
-// exactly as the bitset form does.
+// ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber
+// with Algorithm IR_Probe_HQS (Fig. 8), the improved randomized HQS
+// prober. To evaluate a gate of height >= 2 it fully evaluates a random
+// child r1, then peeks at a random grandchild of a second random child
+// r2. If the grandchild agrees with r1 it finishes evaluating r2 (hoping
+// to confirm the majority); otherwise it suspects r2 is the minority
+// child and evaluates r3 first.
+//
+// "Evaluating" a node means evaluating its children in uniformly random
+// order until its value is determined, each child by a recursive IR
+// call, so the recursion descends two levels at a time. PCR =
+// O(n^0.887) (Theorem 4.10).
 //
 //quorum:hotpath
 func (q *HQS) ProbeWitnessWordsRandomized(o *probe.WordsOracle, rng *rand.Rand) probe.WordsWitness {
@@ -228,7 +247,7 @@ func (q *HQS) irEvalWords(o *probe.WordsOracle, rng *rand.Rand, start, size int,
 		}
 		v3 := o.AcquireWords()
 		c3 := q.irPlainEvalWords(o, rng, r3, third, v3)
-		// mergeMajority(v3, v1, v2): the decider v3 plus the matching one.
+		// The decider v3 plus whichever of v1, v2 shares its color.
 		if c3 != c1 {
 			quorum.CopyWords(dst, v2)
 		}
@@ -245,7 +264,7 @@ func (q *HQS) irEvalWords(o *probe.WordsOracle, rng *rand.Rand, start, size int,
 	}
 	v2 := o.AcquireWords()
 	c2 := q.irContinueEvalWords(o, rng, r2, third, gcIdx, cgc, gcBuf, v2)
-	// mergeMajority(v2, v1, v3): the decider v2 plus the matching one.
+	// The decider v2 plus whichever of v1, v3 shares its color.
 	if c2 != c1 {
 		quorum.CopyWords(dst, v3)
 	}
@@ -298,8 +317,8 @@ func (q *HQS) irContinueEvalWords(o *probe.WordsOracle, rng *rand.Rand, start, s
 	}
 	tmp := o.AcquireWords()
 	c2 := q.irEvalWords(o, rng, start+rest[1]*third, third, tmp)
-	// mergeMajority(w2, known, w1): the decider w2 plus the matching one
-	// of {known, w1}; dst currently holds w1.
+	// The decider w2 plus whichever of known, w1 shares its color; dst
+	// currently holds w1.
 	if c2 != c1 {
 		quorum.CopyWords(dst, knownBuf)
 	}
@@ -308,8 +327,11 @@ func (q *HQS) irContinueEvalWords(o *probe.WordsOracle, rng *rand.Rand, start, s
 	return c2
 }
 
-// ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber: the
-// random-order weighted scan.
+// ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber in
+// the spirit of R_Probe_Maj: probe elements in uniformly random order
+// until one color accumulates a strict weight majority. Randomizing the
+// order removes the adversary's leverage over the fixed descending-weight
+// scan of ProbeWitnessWords.
 //
 //quorum:hotpath
 func (v *Vote) ProbeWitnessWordsRandomized(o *probe.WordsOracle, rng *rand.Rand) probe.WordsWitness {
@@ -336,9 +358,10 @@ func (v *Vote) ProbeWitnessWordsRandomized(o *probe.WordsOracle, rng *rand.Rand)
 	panic("systems: Vote.ProbeWitnessWordsRandomized exhausted the universe without a witness")
 }
 
-// ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber:
-// random-order m-ary gate evaluation with short-circuit at the gate
-// threshold.
+// ProbeWitnessWordsRandomized implements probe.RandomizedWordsProber by
+// evaluating every gate's children in uniformly random order with
+// short-circuit at the gate threshold — the m-ary generalization of
+// Algorithm R_Probe_HQS (Fig. 7); for m = 3 the two coincide.
 //
 //quorum:hotpath
 func (r *RecMaj) ProbeWitnessWordsRandomized(o *probe.WordsOracle, rng *rand.Rand) probe.WordsWitness {

@@ -197,3 +197,18 @@ func (v *Vote) FindQuorumWithin(allowed *bitset.Set) (*bitset.Set, bool) {
 	}
 	return q, true
 }
+
+// probeOrder returns the deterministic probe order of ProbeWitnessWords:
+// descending weight, ties broken by index. The order is computed once and
+// cached; callers must not mutate it.
+func (v *Vote) probeOrder() []int {
+	v.orderOnce.Do(func() {
+		order := make([]int, len(v.weights))
+		for i := range order {
+			order[i] = i
+		}
+		sort.SliceStable(order, func(a, b int) bool { return v.weights[order[a]] > v.weights[order[b]] })
+		v.order = order
+	})
+	return v.order
+}

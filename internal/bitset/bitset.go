@@ -270,6 +270,12 @@ func (s *Set) Key() string {
 // dynamic programs; i must be in range of the backing array.
 func (s *Set) Word(i int) uint64 { return s.words[i] }
 
+// Words returns the set's backing words (little-endian element order,
+// ceil(Len()/64) of them, no bits at or above Len()) so word-level
+// membership tests can read a set without copying it. The slice is the
+// live backing store: callers must neither mutate nor retain it.
+func (s *Set) Words() []uint64 { return s.words }
+
 // Bit returns the single-bit mask of element e within its 64-bit word:
 // 1 << (e mod 64). It is the one sanctioned spelling of a single-bit
 // uint64 shift; quorumvet's widthdual analyzer flags raw shifts outside

@@ -330,14 +330,7 @@ func (e *Explicit) Name() string { return e.name }
 func (e *Explicit) Size() int { return e.n }
 
 // ContainsQuorum implements System.
-func (e *Explicit) ContainsQuorum(s *bitset.Set) bool {
-	for _, q := range e.quorums {
-		if q.SubsetOf(s) {
-			return true
-		}
-	}
-	return false
-}
+func (e *Explicit) ContainsQuorum(s *bitset.Set) bool { return e.ContainsQuorumWords(s.Words()) }
 
 // Quorums implements System. The returned sets are copies.
 func (e *Explicit) Quorums() []*bitset.Set {
@@ -348,18 +341,13 @@ func (e *Explicit) Quorums() []*bitset.Set {
 	return out
 }
 
-// ContainsQuorumMask implements MaskSystem by scanning the precomputed
-// quorum word masks. It panics for universes above MaskWords elements.
+// ContainsQuorumMask implements MaskSystem. It panics for universes above
+// MaskWords elements.
 func (e *Explicit) ContainsQuorumMask(mask uint64) bool {
 	if e.n > MaskWords {
 		panic(fmt.Sprintf("quorum: Explicit mask path requires n <= %d, got %d", MaskWords, e.n))
 	}
-	for _, q := range e.masks {
-		if mask&q == q {
-			return true
-		}
-	}
-	return false
+	return e.ContainsQuorumWords([]uint64{mask})
 }
 
 // QuorumMasks implements MaskSystem.
@@ -381,9 +369,9 @@ func (e *Explicit) cachedQuorumMasks() []uint64 {
 	return e.masks
 }
 
-// ContainsQuorumWords implements WideMaskSystem by a subset scan over the
-// precomputed wide quorum masks. Unlike the single-word path it works at
-// every universe size.
+// ContainsQuorumWords implements WideMaskSystem and is Explicit's one
+// membership test: a subset scan over the precomputed wide quorum masks,
+// at every universe size.
 func (e *Explicit) ContainsQuorumWords(words []uint64) bool {
 	for _, q := range e.wide {
 		if SubsetOfWords(q, words) {

@@ -22,13 +22,17 @@ const MaxWideUniverse = 4096
 // 64 elements dispatches on.
 //
 // ContainsQuorumWords must agree with ContainsQuorum on the indicator set
-// of the words and, for n <= MaskWords, with ContainsQuorumMask(words[0]).
-// Callers pass exactly WordCount(Size()) words with no bits at or above
-// Size(); implementations may read but never retain or mutate the slice.
+// of the words and, for a MaskSystem with n <= MaskWords, with
+// ContainsQuorumMask(words[0]). Callers pass exactly WordCount(Size())
+// words with no bits at or above Size(); implementations may read but
+// never retain or mutate the slice.
 //
-// All built-in constructions implement WideMaskSystem natively at every
-// size; WideMasked adapts any other System by enumerating its minimal
-// quorums, guarded by EnumerationBudget.
+// Every built-in construction (and Explicit) makes ContainsQuorumWords
+// the one body of its membership test at every size: ContainsQuorum
+// passes the bitset's backing words (bitset.Set.Words) and
+// ContainsQuorumMask a one-word slice, so the agreement holds by
+// construction. WideMasked adapts any other System by enumerating its
+// minimal quorums, guarded by EnumerationBudget.
 type WideMaskSystem interface {
 	System
 

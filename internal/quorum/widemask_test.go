@@ -59,6 +59,18 @@ func TestWideWordsRoundTrip(t *testing.T) {
 // enumeration adapters.
 type wideless struct{ System }
 
+// refContainsQuorum is Explicit's characteristic function written directly
+// over bitsets, the test-only reference its membership entry points must
+// agree with: some listed quorum lies inside s.
+func (e *Explicit) refContainsQuorum(s *bitset.Set) bool {
+	for _, q := range e.quorums {
+		if q.SubsetOf(s) {
+			return true
+		}
+	}
+	return false
+}
+
 func TestWideMaskedAdapters(t *testing.T) {
 	quorums := []*bitset.Set{
 		bitset.FromSlice(70, []int{0, 65}),
@@ -77,7 +89,8 @@ func TestWideMaskedAdapters(t *testing.T) {
 	if _, ok := ws.(*Explicit); !ok {
 		t.Fatalf("WideMasked(Explicit) returned %T, want the system itself", ws)
 	}
-	// Enumeration adapter: same answers as ContainsQuorum on random sets.
+	// Enumeration adapter and both native entry points: same answers as
+	// the reference on random sets.
 	ad, err := WideMasked(wideless{ex})
 	if err != nil {
 		t.Fatal(err)
@@ -91,11 +104,12 @@ func TestWideMaskedAdapters(t *testing.T) {
 				SetWordBit(words, e)
 			}
 		}
+		set := SetOfWords(70, words)
 		native := ex.ContainsQuorumWords(words)
 		adapted := ad.ContainsQuorumWords(words)
-		direct := ex.ContainsQuorum(SetOfWords(70, words))
-		if native != direct || adapted != direct {
-			t.Fatalf("draw %d: native=%v adapted=%v direct=%v", i, native, adapted, direct)
+		bits := ex.ContainsQuorum(set)
+		if want := ex.refContainsQuorum(set); native != want || adapted != want || bits != want {
+			t.Fatalf("draw %d: native=%v adapted=%v bitset=%v reference=%v", i, native, adapted, bits, want)
 		}
 	}
 }
@@ -120,8 +134,19 @@ func TestWideMaskedWordBridge(t *testing.T) {
 		t.Fatal(err)
 	}
 	for mask := uint64(0); mask < 1<<5; mask++ {
-		if got, want := ws.ContainsQuorumWords([]uint64{mask}), small.ContainsQuorumMask(mask); got != want {
-			t.Fatalf("mask %#b: bridge=%v native=%v", mask, got, want)
+		set := SetOfMask(5, mask)
+		want := small.refContainsQuorum(set)
+		if got := ws.ContainsQuorumWords([]uint64{mask}); got != want {
+			t.Fatalf("mask %#b: bridge=%v reference=%v", mask, got, want)
+		}
+		if got := small.ContainsQuorumMask(mask); got != want {
+			t.Fatalf("mask %#b: ContainsQuorumMask=%v reference=%v", mask, got, want)
+		}
+		if got := small.ContainsQuorum(set); got != want {
+			t.Fatalf("mask %#b: ContainsQuorum=%v reference=%v", mask, got, want)
+		}
+		if got := small.ContainsQuorumWords([]uint64{mask}); got != want {
+			t.Fatalf("mask %#b: ContainsQuorumWords=%v reference=%v", mask, got, want)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package rw
 
 import (
 	"fmt"
-	"math/bits"
 
 	"probequorum/internal/bitset"
 	"probequorum/internal/quorum"
@@ -50,12 +49,13 @@ func (c *Choose) Size() int { return c.n }
 func (c *Choose) Threshold() int { return c.k }
 
 // ContainsQuorum implements quorum.System.
-func (c *Choose) ContainsQuorum(s *bitset.Set) bool { return s.Count() >= c.k }
+func (c *Choose) ContainsQuorum(s *bitset.Set) bool { return c.ContainsQuorumWords(s.Words()) }
 
 // ContainsQuorumMask implements quorum.MaskSystem.
-func (c *Choose) ContainsQuorumMask(mask uint64) bool { return bits.OnesCount64(mask) >= c.k }
+func (c *Choose) ContainsQuorumMask(mask uint64) bool { return c.ContainsQuorumWords([]uint64{mask}) }
 
-// ContainsQuorumWords implements quorum.WideMaskSystem.
+// ContainsQuorumWords implements quorum.WideMaskSystem and is the role's
+// one membership test: a popcount against k.
 func (c *Choose) ContainsQuorumWords(words []uint64) bool {
 	return quorum.PopcountWords(words) >= c.k
 }
@@ -185,25 +185,15 @@ var (
 func (g *gridRows) Name() string { return fmt.Sprintf("GridRows(%dx%d)", g.r, g.c) }
 func (g *gridRows) Size() int    { return g.n() }
 
-func (g *gridRows) ContainsQuorum(s *bitset.Set) bool {
-	for _, row := range g.rows {
-		if row.SubsetOf(s) {
-			return true
-		}
-	}
-	return false
-}
+func (g *gridRows) ContainsQuorum(s *bitset.Set) bool { return g.ContainsQuorumWords(s.Words()) }
 
 func (g *gridRows) ContainsQuorumMask(mask uint64) bool {
 	g.maskGuard()
-	for _, row := range g.rowMasks {
-		if mask&row == row {
-			return true
-		}
-	}
-	return false
+	return g.ContainsQuorumWords([]uint64{mask})
 }
 
+// ContainsQuorumWords is the read role's one membership test: some row
+// is a subset of the words.
 func (g *gridRows) ContainsQuorumWords(words []uint64) bool {
 	for _, row := range g.rowWords {
 		if quorum.SubsetOfWords(row, words) {
@@ -270,24 +260,16 @@ func (g *gridTransversal) Name() string { return fmt.Sprintf("GridTransversal(%d
 func (g *gridTransversal) Size() int    { return g.n() }
 
 func (g *gridTransversal) ContainsQuorum(s *bitset.Set) bool {
-	for _, row := range g.rows {
-		if !row.Intersects(s) {
-			return false
-		}
-	}
-	return true
+	return g.ContainsQuorumWords(s.Words())
 }
 
 func (g *gridTransversal) ContainsQuorumMask(mask uint64) bool {
 	g.maskGuard()
-	for _, row := range g.rowMasks {
-		if mask&row == 0 {
-			return false
-		}
-	}
-	return true
+	return g.ContainsQuorumWords([]uint64{mask})
 }
 
+// ContainsQuorumWords is the write role's one membership test: the words
+// meet every row.
 func (g *gridTransversal) ContainsQuorumWords(words []uint64) bool {
 	for _, row := range g.rowWords {
 		hit := false
@@ -384,7 +366,6 @@ type explicitRole struct {
 	name    string
 	n       int
 	quorums []*bitset.Set
-	masks   []uint64
 	wide    [][]uint64
 }
 
@@ -416,24 +397,16 @@ func newExplicitRole(name string, n int, quorums []*bitset.Set) (*explicitRole, 
 	for i, q := range cp {
 		e.wide[i] = quorum.WordsOf(q)
 	}
-	if n <= quorum.MaskWords {
-		e.masks = quorum.MasksOf(cp)
-	}
 	return e, nil
 }
 
 func (e *explicitRole) Name() string { return e.name }
 func (e *explicitRole) Size() int    { return e.n }
 
-func (e *explicitRole) ContainsQuorum(s *bitset.Set) bool {
-	for _, q := range e.quorums {
-		if q.SubsetOf(s) {
-			return true
-		}
-	}
-	return false
-}
+func (e *explicitRole) ContainsQuorum(s *bitset.Set) bool { return e.ContainsQuorumWords(s.Words()) }
 
+// ContainsQuorumWords is the role's one membership test: a subset scan
+// over the precomputed wide quorum masks.
 func (e *explicitRole) ContainsQuorumWords(words []uint64) bool {
 	for _, q := range e.wide {
 		if quorum.SubsetOfWords(q, words) {

@@ -7,6 +7,7 @@ import (
 
 	"probequorum/internal/bitset"
 	"probequorum/internal/quorum"
+	"probequorum/internal/systems"
 )
 
 func mustGrid(t *testing.T, r, c int) *Pair {
@@ -110,12 +111,22 @@ func popcount(m uint64) int {
 // containing a read quorum implies the red side contains no write
 // quorum (and symmetrically), which is exactly "every read quorum
 // intersects every write quorum" stated on characteristic functions.
+// On the same colorings every role's bitset, mask and words entry points
+// must agree with its bitset reference.
 func TestCheckDualityExhaustive(t *testing.T) {
+	quad, err := NewExplicitPair("quad", 4,
+		[]*bitset.Set{bitset.FromSlice(4, []int{0, 1}), bitset.FromSlice(4, []int{2, 3})},
+		[]*bitset.Set{bitset.FromSlice(4, []int{0, 2}), bitset.FromSlice(4, []int{1, 3})})
+	if err != nil {
+		t.Fatal(err)
+	}
 	pairs := []ReadWrite{
 		mustGrid(t, 2, 3),
+		mustGrid(t, 3, 3),
 		mustGrid(t, 3, 4),
 		mustROWA(t, 12),
 		As(FromSingle(mustChoose(t, 4, 7))),
+		quad,
 	}
 	for _, p := range pairs {
 		if err := CheckDuality(p.ReadRole(), p.WriteRole()); err != nil {
@@ -133,9 +144,30 @@ func TestCheckDualityExhaustive(t *testing.T) {
 					greens.Add(e)
 				}
 			}
+			checkRoleMembership(t, p.ReadRole(), greens)
+			checkRoleMembership(t, p.WriteRole(), greens)
 			if p.ReadRole().ContainsQuorum(greens) && p.WriteRole().ContainsQuorum(greens.Complement()) {
 				t.Fatalf("%s: read quorum in %v and write quorum in its complement", p.Name(), greens)
 			}
+		}
+	}
+}
+
+// checkRoleMembership compares every membership entry point of a role
+// with its bitset reference on s: the bitset adapter, the words body and,
+// for roles with the single-word capability, the mask adapter.
+func checkRoleMembership(t *testing.T, role quorum.System, s *bitset.Set) {
+	t.Helper()
+	want := role.(refMember).refContainsQuorum(s)
+	if got := role.ContainsQuorum(s); got != want {
+		t.Fatalf("%s on %v: ContainsQuorum=%v, reference=%v", role.Name(), s, got, want)
+	}
+	if got := role.(quorum.WideMaskSystem).ContainsQuorumWords(quorum.WordsOf(s)); got != want {
+		t.Fatalf("%s on %v: ContainsQuorumWords=%v, reference=%v", role.Name(), s, got, want)
+	}
+	if ms, ok := role.(quorum.MaskSystem); ok {
+		if got := ms.ContainsQuorumMask(quorum.MaskOf(s)); got != want {
+			t.Fatalf("%s on %v: ContainsQuorumMask=%v, reference=%v", role.Name(), s, got, want)
 		}
 	}
 }
@@ -265,5 +297,57 @@ func TestPairDelegation(t *testing.T) {
 	}
 	if p.MinQuorumSize() != 3 || p.MaxQuorumSize() != 3 {
 		t.Errorf("Sized = %d/%d, want 3/3", p.MinQuorumSize(), p.MaxQuorumSize())
+	}
+}
+
+// TestMembershipAllocFree pins the allocation property of the one-body
+// design: on every construction and role, the bitset adapter
+// ContainsQuorum and the mask adapter ContainsQuorumMask hand their
+// input to ContainsQuorumWords without allocating (the one-word slice
+// literal of the mask adapter must stay on the stack).
+func TestMembershipAllocFree(t *testing.T) {
+	must := func(sys quorum.System, err error) quorum.System {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	grid := mustGrid(t, 3, 3)
+	rowa := mustROWA(t, 9)
+	quad, err := NewExplicitPair("quad", 4,
+		[]*bitset.Set{bitset.FromSlice(4, []int{0, 1}), bitset.FromSlice(4, []int{2, 3})},
+		[]*bitset.Set{bitset.FromSlice(4, []int{0, 2}), bitset.FromSlice(4, []int{1, 3})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit := must(quorum.NewExplicit("triangle", 3, []*bitset.Set{
+		bitset.FromSlice(3, []int{0, 1}), bitset.FromSlice(3, []int{0, 2}), bitset.FromSlice(3, []int{1, 2}),
+	}))
+	for _, sys := range []quorum.System{
+		must(systems.NewMaj(9)), must(systems.NewWheel(9)), must(systems.NewTriang(4)),
+		must(systems.NewCW([]int{1, 3, 2})), must(systems.NewTree(2)), must(systems.NewHQS(2)),
+		must(systems.NewVote([]int{3, 2, 2, 1, 1})), must(systems.NewRecMaj(3, 2)), explicit,
+		grid.ReadRole(), grid.WriteRole(), rowa.ReadRole(), rowa.WriteRole(),
+		quad.ReadRole(), quad.WriteRole(),
+	} {
+		t.Run(sys.Name(), func(t *testing.T) {
+			n := sys.Size()
+			set := bitset.New(n)
+			for e := 0; e < n; e += 2 {
+				set.Add(e)
+			}
+			if allocs := testing.AllocsPerRun(100, func() { sys.ContainsQuorum(set) }); allocs != 0 {
+				t.Errorf("ContainsQuorum allocates %.1f objects per call, want 0", allocs)
+			}
+			ms, ok := sys.(quorum.MaskSystem)
+			if !ok {
+				return
+			}
+			mask := quorum.MaskOf(set)
+			if allocs := testing.AllocsPerRun(100, func() { ms.ContainsQuorumMask(mask) }); allocs != 0 {
+				t.Errorf("ContainsQuorumMask allocates %.1f objects per call, want 0", allocs)
+			}
+		})
 	}
 }

@@ -20,9 +20,42 @@ type CW struct {
 	widths  []int
 	offsets []int // offsets[i] is the index of the first element of row i
 	n       int
-	// rowMasks[i] is the word mask of row i, precomputed when the universe
-	// fits one machine word (n <= quorum.MaskWords).
-	rowMasks []uint64
+	rows    []rowWindow // rows[i] is the word window of row i
+}
+
+// rowWindow is the word window of one row, precomputed at construction:
+// the row's elements lie in words first..last, under firstMask in word
+// first and lastMask in word last (the same combined mask when first ==
+// last); every word strictly between is covered in full.
+type rowWindow struct {
+	first, last         int
+	firstMask, lastMask uint64
+}
+
+// full reports whether every element of the row is set in words.
+func (r *rowWindow) full(words []uint64) bool {
+	if words[r.first]&r.firstMask != r.firstMask {
+		return false
+	}
+	for i := r.first + 1; i < r.last; i++ {
+		if words[i] != ^uint64(0) {
+			return false
+		}
+	}
+	return words[r.last]&r.lastMask == r.lastMask
+}
+
+// hit reports whether some element of the row is set in words.
+func (r *rowWindow) hit(words []uint64) bool {
+	if words[r.first]&r.firstMask != 0 {
+		return true
+	}
+	for i := r.first + 1; i < r.last; i++ {
+		if words[i] != 0 {
+			return true
+		}
+	}
+	return words[r.last]&r.lastMask != 0
 }
 
 var (
@@ -64,12 +97,21 @@ func NewCW(widths []int) (*CW, error) {
 		widths:  w,
 		offsets: offsets,
 		n:       n,
+		rows:    make([]rowWindow, len(w)),
 	}
-	if n <= quorum.MaskWords {
-		c.rowMasks = make([]uint64, len(w))
-		for i, wd := range w {
-			c.rowMasks[i] = bitset.LowMask(wd) << uint(offsets[i])
+	for i, wd := range w {
+		lo, hi := offsets[i], offsets[i]+wd-1 // inclusive element range
+		r := rowWindow{
+			first:     lo / quorum.MaskWords,
+			last:      hi / quorum.MaskWords,
+			firstMask: ^bitset.LowMask(lo % quorum.MaskWords),
+			lastMask:  bitset.LowMask(hi%quorum.MaskWords + 1),
 		}
+		if r.first == r.last {
+			r.firstMask &= r.lastMask
+			r.lastMask = r.firstMask
+		}
+		c.rows[i] = r
 	}
 	return c, nil
 }
@@ -152,35 +194,8 @@ func (c *CW) RowOf(e int) int {
 	panic(fmt.Sprintf("systems: element %d out of range [0,%d)", e, c.n))
 }
 
-// ContainsQuorum implements quorum.System: s contains a quorum iff there is
-// a row j fully inside s such that every row below j meets s.
-func (c *CW) ContainsQuorum(s *bitset.Set) bool {
-	k := len(c.widths)
-	// suffixHit reports, maintained bottom-up, that every row strictly
-	// below the current row meets s.
-	suffixHit := true
-	for j := k - 1; j >= 0; j-- {
-		start, end := c.RowRange(j)
-		full, any := true, false
-		for e := start; e < end; e++ {
-			if s.Contains(e) {
-				any = true
-			} else {
-				full = false
-			}
-		}
-		if full && suffixHit {
-			return true
-		}
-		suffixHit = suffixHit && any
-		if !suffixHit && j > 0 {
-			// No row above j can form a quorum either; but keep scanning is
-			// pointless — every higher row needs a representative from row j.
-			return false
-		}
-	}
-	return false
-}
+// ContainsQuorum implements quorum.System.
+func (c *CW) ContainsQuorum(s *bitset.Set) bool { return c.ContainsQuorumWords(s.Words()) }
 
 // MinQuorumSize implements quorum.Sized.
 func (c *CW) MinQuorumSize() int {
@@ -249,36 +264,23 @@ func (c *CW) appendReps(out []*bitset.Set, base *bitset.Set, row int) []*bitset.
 	return out
 }
 
-// ContainsQuorumMask implements quorum.MaskSystem: the bottom-up row scan
-// of ContainsQuorum with each row's full/hit tests collapsed to one AND
-// against the precomputed row mask. Every row below the current one is
-// known to be hit, else the scan would have returned already.
+// ContainsQuorumMask implements quorum.MaskSystem.
 func (c *CW) ContainsQuorumMask(mask uint64) bool {
 	maskGuard("CW", c.n)
-	for j := len(c.widths) - 1; j >= 0; j-- {
-		hit := mask & c.rowMasks[j]
-		if hit == c.rowMasks[j] {
-			return true
-		}
-		if hit == 0 && j > 0 {
-			// Every row above j needs a representative from row j.
-			return false
-		}
-	}
-	return false
+	return c.ContainsQuorumWords([]uint64{mask})
 }
 
-// ContainsQuorumWords implements quorum.WideMaskSystem: the bottom-up row
-// scan of ContainsQuorumMask with each row's full/hit test evaluated as a
-// word-window test over the row's element range.
+// ContainsQuorumWords implements quorum.WideMaskSystem and is CW's one
+// membership test: the words contain a quorum iff some row j is full and
+// every row below j is hit. The scan runs bottom-up over the precomputed
+// row windows, so a row that misses ends it: every row above needs a
+// representative from it.
 func (c *CW) ContainsQuorumWords(words []uint64) bool {
-	for j := len(c.widths) - 1; j >= 0; j-- {
-		lo, hi := c.RowRange(j)
-		if wordsRangeFull(words, lo, hi) {
+	for j := len(c.rows) - 1; j >= 0; j-- {
+		if c.rows[j].full(words) {
 			return true
 		}
-		if j > 0 && !wordsRangeAny(words, lo, hi) {
-			// Every row above j needs a representative from row j.
+		if j > 0 && !c.rows[j].hit(words) {
 			return false
 		}
 	}
@@ -300,7 +302,8 @@ func (c *CW) QuorumMasks() []uint64 {
 				panic(fmt.Sprintf("systems: CW.QuorumMasks infeasible for %s", c.name))
 			}
 		}
-		out = c.appendRepMasks(out, c.rowMasks[j], j+1)
+		// One word holds the universe, so the row window is one mask.
+		out = c.appendRepMasks(out, c.rows[j].firstMask, j+1)
 	}
 	return out
 }

@@ -57,28 +57,8 @@ func (q *HQS) MinQuorumSize() int { return q.QuorumSize() }
 // MaxQuorumSize implements quorum.Sized.
 func (q *HQS) MaxQuorumSize() int { return q.QuorumSize() }
 
-// ContainsQuorum implements quorum.System: the 2-of-3 gate tree evaluates
-// to true on the indicator of s.
-func (q *HQS) ContainsQuorum(s *bitset.Set) bool {
-	return q.eval(0, q.n, s)
-}
-
-func (q *HQS) eval(start, size int, s *bitset.Set) bool {
-	if size == 1 {
-		return s.Contains(start)
-	}
-	third := size / 3
-	cnt := 0
-	for i := 0; i < 3; i++ {
-		if q.eval(start+i*third, third, s) {
-			cnt++
-			if cnt == 2 {
-				return true
-			}
-		}
-	}
-	return false
-}
+// ContainsQuorum implements quorum.System.
+func (q *HQS) ContainsQuorum(s *bitset.Set) bool { return q.ContainsQuorumWords(s.Words()) }
 
 // Quorums implements quorum.System by recursive minterm enumeration:
 // 3^((3^h - 1)/2) minimal quorums. It panics for heights above 3.
@@ -113,33 +93,15 @@ func (q *HQS) enumerate(start, size int) []*bitset.Set {
 	return out
 }
 
-// ContainsQuorumMask implements quorum.MaskSystem: the 2-of-3 gate
-// recursion evaluated directly on mask bits.
+// ContainsQuorumMask implements quorum.MaskSystem.
 func (q *HQS) ContainsQuorumMask(mask uint64) bool {
 	maskGuard("HQS", q.n)
-	return q.evalMask(0, q.n, mask)
+	return q.ContainsQuorumWords([]uint64{mask})
 }
 
-func (q *HQS) evalMask(start, size int, mask uint64) bool {
-	if size == 1 {
-		return mask>>uint(start)&1 != 0
-	}
-	third := size / 3
-	cnt := 0
-	for i := 0; i < 3; i++ {
-		if q.evalMask(start+i*third, third, mask) {
-			cnt++
-			if cnt == 2 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// ContainsQuorumWords implements quorum.WideMaskSystem: the 2-of-3 gate
-// recursion over leaf ranges with word-bit tests, valid at every height
-// the universe bound admits.
+// ContainsQuorumWords implements quorum.WideMaskSystem and is HQS's one
+// membership test: the 2-of-3 gate tree evaluated over leaf ranges with
+// word-bit tests, valid at every height the universe bound admits.
 func (q *HQS) ContainsQuorumWords(words []uint64) bool {
 	return q.evalWords(0, q.n, words)
 }

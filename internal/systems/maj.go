@@ -39,9 +39,7 @@ func (m *Maj) Size() int { return m.n }
 func (m *Maj) Threshold() int { return (m.n + 1) / 2 }
 
 // ContainsQuorum implements quorum.System.
-func (m *Maj) ContainsQuorum(s *bitset.Set) bool {
-	return s.Count() >= m.Threshold()
-}
+func (m *Maj) ContainsQuorum(s *bitset.Set) bool { return m.ContainsQuorumWords(s.Words()) }
 
 // Resilience implements quorum.ExactResilience: any n - t failures
 // leave exactly t = Threshold() live elements, which is still a quorum,
@@ -82,11 +80,10 @@ func (m *Maj) Quorums() []*bitset.Set {
 	}
 }
 
-// ContainsQuorumMask implements quorum.MaskSystem: a single popcount
-// against the threshold.
+// ContainsQuorumMask implements quorum.MaskSystem.
 func (m *Maj) ContainsQuorumMask(mask uint64) bool {
 	maskGuard("Maj", m.n)
-	return bits.OnesCount64(mask) >= m.Threshold()
+	return m.ContainsQuorumWords([]uint64{mask})
 }
 
 // QuorumMasks implements quorum.MaskSystem by enumerating the C(n, t)
@@ -110,8 +107,9 @@ func (m *Maj) QuorumMasks() []uint64 {
 	return out
 }
 
-// ContainsQuorumWords implements quorum.WideMaskSystem: a popcount over
-// the words against the threshold, stopping at the word that reaches it.
+// ContainsQuorumWords implements quorum.WideMaskSystem and is Maj's one
+// membership test: a popcount over the words against the threshold,
+// stopping at the word that reaches it.
 func (m *Maj) ContainsQuorumWords(words []uint64) bool {
 	t := m.Threshold()
 	total := 0

@@ -46,17 +46,20 @@ func maskFixtures(t *testing.T) []quorum.MaskSystem {
 	return []quorum.MaskSystem{maj, wheel, cw, tri, tree, hqs, vote, rm}
 }
 
-// The native word-level characteristic function must agree with the
-// bitset one on every subset of the universe.
+// The two adapters, ContainsQuorumMask and ContainsQuorum, must agree
+// with the bitset reference on every subset of the universe.
 func TestContainsQuorumMaskMatchesBitset(t *testing.T) {
 	for _, sys := range maskFixtures(t) {
 		t.Run(sys.Name(), func(t *testing.T) {
 			n := sys.Size()
 			for mask := uint64(0); mask < 1<<uint(n); mask++ {
-				got := sys.ContainsQuorumMask(mask)
-				want := sys.ContainsQuorum(quorum.SetOfMask(n, mask))
-				if got != want {
-					t.Fatalf("mask %#b: ContainsQuorumMask=%v, ContainsQuorum=%v", mask, got, want)
+				set := quorum.SetOfMask(n, mask)
+				want := sys.(refMember).refContainsQuorum(set)
+				if got := sys.ContainsQuorumMask(mask); got != want {
+					t.Fatalf("mask %#b: ContainsQuorumMask=%v, reference=%v", mask, got, want)
+				}
+				if got := sys.ContainsQuorum(set); got != want {
+					t.Fatalf("mask %#b: ContainsQuorum=%v, reference=%v", mask, got, want)
 				}
 			}
 		})

@@ -6,30 +6,18 @@ import (
 	"probequorum/internal/quorum"
 )
 
-// Every construction in this package implements quorum.MaskSystem natively:
-// when the universe fits one machine word (n <= quorum.MaskWords), the
-// characteristic function is evaluated directly on a uint64 element mask —
-// popcount thresholds for Maj, weight sums for Wheel and Vote, row-mask
-// word tests for CW, and gate recursions over mask bits for Tree, HQS and
-// RecMaj — with zero allocation and no bitset traffic.
-var (
-	_ quorum.MaskSystem = (*Maj)(nil)
-	_ quorum.MaskSystem = (*Wheel)(nil)
-	_ quorum.MaskSystem = (*CW)(nil)
-	_ quorum.MaskSystem = (*Tree)(nil)
-	_ quorum.MaskSystem = (*HQS)(nil)
-	_ quorum.MaskSystem = (*Vote)(nil)
-	_ quorum.MaskSystem = (*RecMaj)(nil)
-)
-
-// Every construction also implements quorum.WideMaskSystem — the same
-// structural tests evaluated on a []uint64 wide mask — so membership
-// scales to quorum.MaxWideUniverse elements with no enumeration:
-// popcount over words for Maj, hub test plus rim popcount for Wheel,
-// per-row window tests for CW, gate recursions over word bits for Tree,
-// HQS and RecMaj, and a weighted word scan for Vote. For n <= 64 the wide
-// tests agree bit-for-bit with the single-word masks (pinned by the
-// differential tests in widemask_test.go).
+// Every construction in this package writes its characteristic function
+// once, as ContainsQuorumWords over a []uint64 wide mask in the
+// internal/bitset word layout, so membership scales to
+// quorum.MaxWideUniverse elements with no enumeration: popcount over
+// words for Maj, hub test plus rim popcount for Wheel, per-row word-window
+// tests for CW, gate recursions over word bits for Tree, HQS and RecMaj,
+// and a weighted word scan for Vote. ContainsQuorum and ContainsQuorumMask
+// are one-line adapters onto it: the bitset's backing words, and (for n <=
+// quorum.MaskWords, after maskGuard) a one-word slice that stays on the
+// stack. The differentials in mask_test.go and widemask_test.go compare
+// all three entry points against the bitset reference in
+// reference_test.go.
 var (
 	_ quorum.WideMaskSystem = (*Maj)(nil)
 	_ quorum.WideMaskSystem = (*Wheel)(nil)
@@ -40,53 +28,17 @@ var (
 	_ quorum.WideMaskSystem = (*RecMaj)(nil)
 )
 
-// wordsRangeFull reports whether every bit of [lo, hi) is set in the wide
-// mask: the boundary words are tested under partial masks, the interior
-// words against all-ones.
-func wordsRangeFull(words []uint64, lo, hi int) bool {
-	if lo >= hi {
-		return true
-	}
-	lw, hw := lo/64, (hi-1)/64
-	loMask := ^uint64(0) << (uint(lo) % 64)
-	hiMask := ^uint64(0) >> (63 - uint(hi-1)%64)
-	if lw == hw {
-		m := loMask & hiMask
-		return words[lw]&m == m
-	}
-	if words[lw]&loMask != loMask {
-		return false
-	}
-	for i := lw + 1; i < hw; i++ {
-		if words[i] != ^uint64(0) {
-			return false
-		}
-	}
-	return words[hw]&hiMask == hiMask
-}
-
-// wordsRangeAny reports whether any bit of [lo, hi) is set in the wide
-// mask.
-func wordsRangeAny(words []uint64, lo, hi int) bool {
-	if lo >= hi {
-		return false
-	}
-	lw, hw := lo/64, (hi-1)/64
-	loMask := ^uint64(0) << (uint(lo) % 64)
-	hiMask := ^uint64(0) >> (63 - uint(hi-1)%64)
-	if lw == hw {
-		return words[lw]&loMask&hiMask != 0
-	}
-	if words[lw]&loMask != 0 {
-		return true
-	}
-	for i := lw + 1; i < hw; i++ {
-		if words[i] != 0 {
-			return true
-		}
-	}
-	return words[hw]&hiMask != 0
-}
+// Every construction also implements quorum.MaskSystem, whose
+// QuorumMasks enumerates the minimal quorums natively as uint64 masks.
+var (
+	_ quorum.MaskSystem = (*Maj)(nil)
+	_ quorum.MaskSystem = (*Wheel)(nil)
+	_ quorum.MaskSystem = (*CW)(nil)
+	_ quorum.MaskSystem = (*Tree)(nil)
+	_ quorum.MaskSystem = (*HQS)(nil)
+	_ quorum.MaskSystem = (*Vote)(nil)
+	_ quorum.MaskSystem = (*RecMaj)(nil)
+)
 
 // maskGuard panics when the universe does not fit one machine word; the
 // mask methods are defined only for n <= quorum.MaskWords.

@@ -77,26 +77,7 @@ func (r *RecMaj) MinQuorumSize() int { return r.QuorumSize() }
 func (r *RecMaj) MaxQuorumSize() int { return r.QuorumSize() }
 
 // ContainsQuorum implements quorum.System.
-func (r *RecMaj) ContainsQuorum(s *bitset.Set) bool {
-	return r.eval(0, r.n, s)
-}
-
-func (r *RecMaj) eval(start, size int, s *bitset.Set) bool {
-	if size == 1 {
-		return s.Contains(start)
-	}
-	sub := size / r.m
-	cnt := 0
-	for i := 0; i < r.m; i++ {
-		if r.eval(start+i*sub, sub, s) {
-			cnt++
-			if cnt == r.GateThreshold() {
-				return true
-			}
-		}
-	}
-	return false
-}
+func (r *RecMaj) ContainsQuorum(s *bitset.Set) bool { return r.ContainsQuorumWords(s.Words()) }
 
 // Quorums implements quorum.System by minterm enumeration. It panics when
 // the count explodes (arity 3 up to height 3, arity 5 up to height 1).
@@ -185,32 +166,15 @@ func (r *RecMaj) crossProduct(children [][]*bitset.Set, chosen []int, i int, acc
 	}
 }
 
-// ContainsQuorumMask implements quorum.MaskSystem: the m-ary majority
-// gate recursion evaluated directly on mask bits.
+// ContainsQuorumMask implements quorum.MaskSystem.
 func (r *RecMaj) ContainsQuorumMask(mask uint64) bool {
 	maskGuard("RecMaj", r.n)
-	return r.evalMask(0, r.n, mask)
+	return r.ContainsQuorumWords([]uint64{mask})
 }
 
-func (r *RecMaj) evalMask(start, size int, mask uint64) bool {
-	if size == 1 {
-		return mask>>uint(start)&1 != 0
-	}
-	sub := size / r.m
-	cnt := 0
-	for i := 0; i < r.m; i++ {
-		if r.evalMask(start+i*sub, sub, mask) {
-			cnt++
-			if cnt == r.GateThreshold() {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// ContainsQuorumWords implements quorum.WideMaskSystem: the m-ary
-// majority gate recursion over leaf ranges with word-bit tests.
+// ContainsQuorumWords implements quorum.WideMaskSystem and is RecMaj's one
+// membership test: the m-ary majority gate recursion over leaf ranges
+// with word-bit tests.
 func (r *RecMaj) ContainsQuorumWords(words []uint64) bool {
 	return r.evalWords(0, r.n, words)
 }

@@ -8,12 +8,143 @@ import (
 	"probequorum/internal/probe"
 )
 
-// This file is the test-only reference the probing differentials compare
-// against: every §3 and §4 strategy written directly over the bitset
-// probe.Oracle, with the witness built in bitsets. The production
+// This file is the test-only reference the differentials compare
+// against. It holds every construction's characteristic function written
+// directly over a bitset, and every §3 and §4 strategy written directly
+// over the bitset probe.Oracle, with the witness built in bitsets. The
+// production membership tests (ContainsQuorumWords and its two adapters)
+// must agree with refContainsQuorum on every set; the production
 // strategies (probingwords.go, randomizedwords.go) must probe the same
 // elements in the same order, consume the rng stream the same way and
 // return the same witness.
+
+// refMember is a construction's reference characteristic function.
+type refMember interface {
+	refContainsQuorum(s *bitset.Set) bool
+}
+
+// refContainsQuorum: s contains a quorum iff it holds a threshold of
+// elements.
+func (m *Maj) refContainsQuorum(s *bitset.Set) bool {
+	return s.Count() >= m.Threshold()
+}
+
+// refContainsQuorum: the hub plus any rim element, or the full rim.
+func (w *Wheel) refContainsQuorum(s *bitset.Set) bool {
+	if s.Contains(0) {
+		return s.Count() >= 2 // hub plus any rim element
+	}
+	return s.Count() == w.n-1 // full rim
+}
+
+// refContainsQuorum: s contains a quorum iff there is a row j fully inside
+// s such that every row below j meets s.
+func (c *CW) refContainsQuorum(s *bitset.Set) bool {
+	k := len(c.widths)
+	// suffixHit reports, maintained bottom-up, that every row strictly
+	// below the current row meets s.
+	suffixHit := true
+	for j := k - 1; j >= 0; j-- {
+		start, end := c.RowRange(j)
+		full, any := true, false
+		for e := start; e < end; e++ {
+			if s.Contains(e) {
+				any = true
+			} else {
+				full = false
+			}
+		}
+		if full && suffixHit {
+			return true
+		}
+		suffixHit = suffixHit && any
+		if !suffixHit && j > 0 {
+			// No row above j can form a quorum either; but keep scanning is
+			// pointless — every higher row needs a representative from row j.
+			return false
+		}
+	}
+	return false
+}
+
+// refContainsQuorum evaluates the gate recursion from the root.
+func (t *Tree) refContainsQuorum(s *bitset.Set) bool {
+	return t.live(0, s)
+}
+
+// live evaluates the characteristic function on the subtree rooted at v:
+// f(v) = x_v ∧ (f(L) ∨ f(R)) ∨ (f(L) ∧ f(R)), with f(leaf) = x_leaf.
+func (t *Tree) live(v int, s *bitset.Set) bool {
+	if t.IsLeaf(v) {
+		return s.Contains(v)
+	}
+	l := t.live(t.Left(v), s)
+	r := t.live(t.Right(v), s)
+	if l && r {
+		return true
+	}
+	return s.Contains(v) && (l || r)
+}
+
+// refContainsQuorum: the 2-of-3 gate tree evaluates to true on the
+// indicator of s.
+func (q *HQS) refContainsQuorum(s *bitset.Set) bool {
+	return q.eval(0, q.n, s)
+}
+
+func (q *HQS) eval(start, size int, s *bitset.Set) bool {
+	if size == 1 {
+		return s.Contains(start)
+	}
+	third := size / 3
+	cnt := 0
+	for i := 0; i < 3; i++ {
+		if q.eval(start+i*third, third, s) {
+			cnt++
+			if cnt == 2 {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// refWeight returns the total weight of the set.
+func (v *Vote) refWeight(s *bitset.Set) int {
+	total := 0
+	s.ForEach(func(e int) bool {
+		total += v.weights[e]
+		return true
+	})
+	return total
+}
+
+// refContainsQuorum: the set's weight reaches the majority threshold.
+func (v *Vote) refContainsQuorum(s *bitset.Set) bool {
+	return v.refWeight(s) >= v.Threshold()
+}
+
+// refContainsQuorum evaluates the m-ary majority gate recursion.
+func (r *RecMaj) refContainsQuorum(s *bitset.Set) bool {
+	return r.eval(0, r.n, s)
+}
+
+func (r *RecMaj) eval(start, size int, s *bitset.Set) bool {
+	if size == 1 {
+		return s.Contains(start)
+	}
+	sub := size / r.m
+	cnt := 0
+	for i := 0; i < r.m; i++ {
+		if r.eval(start+i*sub, sub, s) {
+			cnt++
+			if cnt == r.GateThreshold() {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // refProber is a construction's reference deterministic strategy.
 type refProber interface {

@@ -60,23 +60,7 @@ func (t *Tree) MinQuorumSize() int { return t.h + 1 }
 func (t *Tree) MaxQuorumSize() int { return 1 << uint(t.h) }
 
 // ContainsQuorum implements quorum.System.
-func (t *Tree) ContainsQuorum(s *bitset.Set) bool {
-	return t.live(0, s)
-}
-
-// live evaluates the characteristic function on the subtree rooted at v:
-// f(v) = x_v ∧ (f(L) ∨ f(R)) ∨ (f(L) ∧ f(R)), with f(leaf) = x_leaf.
-func (t *Tree) live(v int, s *bitset.Set) bool {
-	if t.IsLeaf(v) {
-		return s.Contains(v)
-	}
-	l := t.live(t.Left(v), s)
-	r := t.live(t.Right(v), s)
-	if l && r {
-		return true
-	}
-	return s.Contains(v) && (l || r)
-}
+func (t *Tree) ContainsQuorum(s *bitset.Set) bool { return t.ContainsQuorumWords(s.Words()) }
 
 // Quorums implements quorum.System by recursive minterm enumeration. It
 // panics for heights above 3 where the count explodes.
@@ -114,32 +98,21 @@ func (t *Tree) enumerate(v int) []*bitset.Set {
 	return out
 }
 
-// ContainsQuorumMask implements quorum.MaskSystem: the gate recursion of
-// ContainsQuorum evaluated directly on mask bits.
+// ContainsQuorumMask implements quorum.MaskSystem.
 func (t *Tree) ContainsQuorumMask(mask uint64) bool {
 	maskGuard("Tree", t.n)
-	return t.liveMask(0, mask)
+	return t.ContainsQuorumWords([]uint64{mask})
 }
 
-func (t *Tree) liveMask(v int, mask uint64) bool {
-	if t.IsLeaf(v) {
-		return mask>>uint(v)&1 != 0
-	}
-	l := t.liveMask(t.Left(v), mask)
-	r := t.liveMask(t.Right(v), mask)
-	if l && r {
-		return true
-	}
-	return mask>>uint(v)&1 != 0 && (l || r)
-}
-
-// ContainsQuorumWords implements quorum.WideMaskSystem: the gate
-// recursion descending over subtree ranges with word-bit tests, so the
-// tree coterie evaluates at any height the universe bound admits.
+// ContainsQuorumWords implements quorum.WideMaskSystem and is Tree's one
+// membership test: the gate recursion over word-bit tests, so the tree
+// coterie evaluates at any height the universe bound admits.
 func (t *Tree) ContainsQuorumWords(words []uint64) bool {
 	return t.liveWords(0, words)
 }
 
+// liveWords evaluates the characteristic function on the subtree rooted
+// at v: f(v) = x_v ∧ (f(L) ∨ f(R)) ∨ (f(L) ∧ f(R)), with f(leaf) = x_leaf.
 func (t *Tree) liveWords(v int, words []uint64) bool {
 	if t.IsLeaf(v) {
 		return quorum.WordBit(words, v)

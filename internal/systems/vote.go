@@ -69,20 +69,8 @@ func (v *Vote) Weights() []int {
 // Threshold returns the majority weight (W+1)/2.
 func (v *Vote) Threshold() int { return (v.total + 1) / 2 }
 
-// Weight returns the total weight of the set.
-func (v *Vote) Weight(s *bitset.Set) int {
-	total := 0
-	s.ForEach(func(e int) bool {
-		total += v.weights[e]
-		return true
-	})
-	return total
-}
-
 // ContainsQuorum implements quorum.System.
-func (v *Vote) ContainsQuorum(s *bitset.Set) bool {
-	return v.Weight(s) >= v.Threshold()
-}
+func (v *Vote) ContainsQuorum(s *bitset.Set) bool { return v.ContainsQuorumWords(s.Words()) }
 
 // Quorums implements quorum.System: the minimal majority-weight sets,
 // enumerated by depth-first search. It panics for n > 25.
@@ -127,25 +115,15 @@ func (v *Vote) Quorums() []*bitset.Set {
 	return out
 }
 
-// MaskWeight returns the total weight of the mask's elements.
-func (v *Vote) MaskWeight(mask uint64) int {
-	total := 0
-	for m := mask; m != 0; m &= m - 1 {
-		total += v.weights[bits.TrailingZeros64(m)]
-	}
-	return total
-}
-
-// ContainsQuorumMask implements quorum.MaskSystem: a weight sum over the
-// set bits against the majority threshold.
+// ContainsQuorumMask implements quorum.MaskSystem.
 func (v *Vote) ContainsQuorumMask(mask uint64) bool {
 	maskGuard("Vote", len(v.weights))
-	return v.MaskWeight(mask) >= v.Threshold()
+	return v.ContainsQuorumWords([]uint64{mask})
 }
 
-// ContainsQuorumWords implements quorum.WideMaskSystem: a weighted scan
-// over the set bits of every word, stopping at the bit that reaches the
-// majority threshold.
+// ContainsQuorumWords implements quorum.WideMaskSystem and is Vote's one
+// membership test: a weighted scan over the set bits of every word,
+// stopping at the bit that reaches the majority threshold.
 func (v *Vote) ContainsQuorumWords(words []uint64) bool {
 	t := v.Threshold()
 	total := 0

@@ -38,12 +38,7 @@ func (w *Wheel) Size() int { return w.n }
 func (w *Wheel) Hub() int { return 0 }
 
 // ContainsQuorum implements quorum.System.
-func (w *Wheel) ContainsQuorum(s *bitset.Set) bool {
-	if s.Contains(0) {
-		return s.Count() >= 2 // hub plus any rim element
-	}
-	return s.Count() == w.n-1 // full rim
-}
+func (w *Wheel) ContainsQuorum(s *bitset.Set) bool { return w.ContainsQuorumWords(s.Words()) }
 
 // MinQuorumSize implements quorum.Sized.
 func (w *Wheel) MinQuorumSize() int { return 2 }
@@ -69,14 +64,10 @@ func (w *Wheel) rimMask() uint64 {
 	return quorum.FullMask(w.n) &^ 1
 }
 
-// ContainsQuorumMask implements quorum.MaskSystem via weight-sum word
-// tests: hub plus any rim bit, or the entire rim.
+// ContainsQuorumMask implements quorum.MaskSystem.
 func (w *Wheel) ContainsQuorumMask(mask uint64) bool {
 	maskGuard("Wheel", w.n)
-	if mask&1 != 0 {
-		return mask&^1 != 0 // hub plus any rim element
-	}
-	return mask == w.rimMask() // full rim
+	return w.ContainsQuorumWords([]uint64{mask})
 }
 
 // QuorumMasks implements quorum.MaskSystem.
@@ -89,8 +80,8 @@ func (w *Wheel) QuorumMasks() []uint64 {
 	return append(out, w.rimMask())
 }
 
-// ContainsQuorumWords implements quorum.WideMaskSystem: the hub bit plus
-// any rim bit, or a full-rim popcount.
+// ContainsQuorumWords implements quorum.WideMaskSystem and is Wheel's one
+// membership test: the hub bit plus any rim bit, or a full-rim popcount.
 func (w *Wheel) ContainsQuorumWords(words []uint64) bool {
 	if words[0]&1 != 0 {
 		if words[0]&^1 != 0 {

@@ -89,11 +89,33 @@ func randomWords(n int, p float64, rng *rand.Rand) []uint64 {
 	return words
 }
 
-// TestWideDifferentialWordMask pins the wide path to the single-word path
-// on every construction that fits one word: ContainsQuorumWords on a
-// one-word slice must agree with ContainsQuorumMask on the word, on
-// every subset exhaustively for the small fixtures and on random masks
-// for word-sized ones.
+// checkMembership compares every membership entry point of sys with the
+// bitset reference on the element set of words: the bitset adapter
+// ContainsQuorum, the words body ContainsQuorumWords and, when the
+// universe fits one word, the mask adapter ContainsQuorumMask.
+func checkMembership(t testing.TB, sys quorum.WideMaskSystem, words []uint64) {
+	t.Helper()
+	n := sys.Size()
+	set := quorum.SetOfWords(n, words)
+	want := sys.(refMember).refContainsQuorum(set)
+	if got := sys.ContainsQuorum(set); got != want {
+		t.Fatalf("%s on %v: ContainsQuorum=%v, reference=%v", sys.Name(), set, got, want)
+	}
+	if got := sys.ContainsQuorumWords(words); got != want {
+		t.Fatalf("%s on %v: ContainsQuorumWords=%v, reference=%v", sys.Name(), set, got, want)
+	}
+	if ms, ok := sys.(quorum.MaskSystem); ok && n <= quorum.MaskWords {
+		if got := ms.ContainsQuorumMask(words[0]); got != want {
+			t.Fatalf("%s on %v: ContainsQuorumMask=%v, reference=%v", sys.Name(), set, got, want)
+		}
+	}
+}
+
+// TestWideDifferentialWordMask pins the words body to the bitset
+// reference on one-word universes: on every subset of the small fixtures
+// (whose two adapters TestContainsQuorumMaskMatchesBitset checks), and on
+// random masks for word-sized instances too large for 2^n enumeration,
+// where all three entry points are checked.
 func TestWideDifferentialWordMask(t *testing.T) {
 	for _, sys := range maskFixtures(t) {
 		ws, ok := sys.(quorum.WideMaskSystem)
@@ -105,46 +127,54 @@ func TestWideDifferentialWordMask(t *testing.T) {
 			words := make([]uint64, 1)
 			for mask := uint64(0); mask < 1<<uint(n); mask++ {
 				words[0] = mask
-				if got, want := ws.ContainsQuorumWords(words), sys.ContainsQuorumMask(mask); got != want {
-					t.Fatalf("mask %#b: ContainsQuorumWords=%v, ContainsQuorumMask=%v", mask, got, want)
+				want := sys.(refMember).refContainsQuorum(quorum.SetOfMask(n, mask))
+				if got := ws.ContainsQuorumWords(words); got != want {
+					t.Fatalf("mask %#b: ContainsQuorumWords=%v, reference=%v", mask, got, want)
 				}
 			}
 		})
 	}
 	// Word-sized instances: random masks instead of 2^n enumeration.
-	mk := func(sys quorum.System, err error) quorum.MaskSystem {
+	mk := func(sys quorum.System, err error) quorum.WideMaskSystem {
 		t.Helper()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return sys.(quorum.MaskSystem)
+		return sys.(quorum.WideMaskSystem)
 	}
-	big := []quorum.MaskSystem{
-		mk(NewMaj(63)), mk(NewWheel(64)), mk(NewTriang(10)),
-		mk(NewTree(5)), mk(NewHQS(3)), mk(NewRecMaj(5, 2)),
+	weights := make([]int, 64)
+	total := 0
+	for i := range weights {
+		weights[i] = 1 + (i*7)%5
+		total += weights[i]
+	}
+	if total%2 == 0 {
+		weights[0]++
+	}
+	widths := []int{1} // irregular rows, n just under one word
+	for n := 1; n < 60; n += widths[len(widths)-1] {
+		widths = append(widths, 2+len(widths)%3)
+	}
+	big := []quorum.WideMaskSystem{
+		mk(NewMaj(63)), mk(NewWheel(64)), mk(NewTriang(10)), mk(NewCW(widths)),
+		mk(NewTree(5)), mk(NewHQS(3)), mk(NewVote(weights)), mk(NewRecMaj(5, 2)),
 	}
 	rng := rand.New(rand.NewPCG(7, 7))
 	for _, sys := range big {
-		ws := sys.(quorum.WideMaskSystem)
 		t.Run(sys.Name(), func(t *testing.T) {
-			n := sys.Size()
-			full := quorum.FullMask(n)
+			full := quorum.FullMask(sys.Size())
 			words := make([]uint64, 1)
 			for i := 0; i < 4096; i++ {
-				mask := rng.Uint64() & full
-				words[0] = mask
-				if got, want := ws.ContainsQuorumWords(words), sys.ContainsQuorumMask(mask); got != want {
-					t.Fatalf("mask %#x: ContainsQuorumWords=%v, ContainsQuorumMask=%v", mask, got, want)
-				}
+				words[0] = rng.Uint64() & full
+				checkMembership(t, sys, words)
 			}
 		})
 	}
 }
 
-// TestWideMatchesBitsetLarge cross-checks the wide characteristic
-// function against the bitset one at large n: the structural recursions
-// must agree with ContainsQuorum on random subsets across the whole
-// density range.
+// TestWideMatchesBitsetLarge checks the wide instances against the bitset
+// reference: the bitset and words entry points must agree with it on
+// random subsets across the whole density range.
 func TestWideMatchesBitsetLarge(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 13))
 	for _, fx := range wideFixtures(t) {
@@ -152,12 +182,7 @@ func TestWideMatchesBitsetLarge(t *testing.T) {
 			n := fx.sys.Size()
 			for _, p := range []float64{0.05, 0.3, 0.5, 0.7, 0.95} {
 				for i := 0; i < 8; i++ {
-					words := randomWords(n, p, rng)
-					got := fx.sys.ContainsQuorumWords(words)
-					want := fx.sys.ContainsQuorum(quorum.SetOfWords(n, words))
-					if got != want {
-						t.Fatalf("p=%v draw %d: ContainsQuorumWords=%v, ContainsQuorum=%v", p, i, got, want)
-					}
+					checkMembership(t, fx.sys, randomWords(n, p, rng))
 				}
 			}
 		})
@@ -204,7 +229,8 @@ func TestWideMonotoneAndComplement(t *testing.T) {
 
 // FuzzWideMaskConsistency fuzzes the wide path on a representative
 // construction of each structural family: for any seed-derived subset,
-// the wide test agrees with the bitset test and respects monotonicity.
+// the bitset and words entry points agree with the bitset reference, and
+// the words test respects monotonicity.
 func FuzzWideMaskConsistency(f *testing.F) {
 	f.Add(uint64(1), uint64(2), uint8(3))
 	f.Add(uint64(97), uint64(11), uint8(200))
@@ -217,10 +243,8 @@ func FuzzWideMaskConsistency(f *testing.F) {
 		for _, sys := range []quorum.WideMaskSystem{maj, tree, hqs, tri} {
 			n := sys.Size()
 			words := randomWords(n, 0.5, rng)
+			checkMembership(t, sys, words)
 			got := sys.ContainsQuorumWords(words)
-			if want := sys.ContainsQuorum(quorum.SetOfWords(n, words)); got != want {
-				t.Fatalf("%s: wide=%v bitset=%v", sys.Name(), got, want)
-			}
 			for j := 0; j < int(grow); j++ {
 				quorum.SetWordBit(words, rng.IntN(n))
 			}
